@@ -10,6 +10,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from .core import (
@@ -51,11 +52,20 @@ def _parse_limits(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
+def _parse_epsilon(text: str):
+    try:
+        eps = as_rat(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"--epsilon {text!r} is not a rational") from exc
+    if eps <= 0:
+        raise ParseError(f"--epsilon {text!r} must be positive")
+    return eps
+
+
 def _config_from_args(args) -> PipelineConfig:
     return PipelineConfig(
         mode=args.mode,
-        epsilon=as_rat(args.epsilon),
-        batched=(args.extend == "batched"),
+        epsilon=_parse_epsilon(args.epsilon),
         exact=getattr(args, "exact", False),
         oracle_limits=args.limits,
     )
@@ -142,10 +152,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    instance = generate_instance(
-        args.seed, args.jobs, args.machines, args.horizon,
-        args.wakeup, args.density,
-    )
+    try:
+        instance = generate_instance(
+            args.seed, args.jobs, args.machines, args.horizon,
+            args.wakeup, args.density,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     text = emit_instance(instance)
     if args.out:
         Path(args.out).write_text(text)
@@ -161,56 +174,59 @@ _BENCH_COLUMNS = [
 ]
 
 
+def _bench_row(path: Path, config: PipelineConfig, args) -> dict:
+    row = {"file": path.name}
+    start = time.perf_counter()
+    try:
+        instance = parse_instance(_read(str(path)))
+        row.update(
+            n=len(instance.jobs), m=instance.machines,
+            D=instance.horizon + instance.offset, Q=instance.wakeup,
+            P=instance.total_ptime,
+        )
+        result = solve_instance(instance, config)
+        row.update(
+            mode=result.mode,
+            lp_objective=str(result.lp_objective),
+            energy=result.energy,
+            bound=str(result.bound),
+        )
+        if result.lp_objective > 0:
+            row["ratio_energy_lp"] = (
+                f"{float(result.energy / result.lp_objective):.4f}"
+            )
+        if args.exact:
+            try:
+                opt = exact_opt(instance, args.limits)
+            except OracleLimitError:
+                opt = None  # beyond oracle limits: leave the column blank
+            if opt is not None:
+                row["oracle"] = opt[0]
+                if opt[0] > 0:
+                    row["ratio_energy_opt"] = (
+                        f"{result.energy / opt[0]:.4f}"
+                    )
+        for stage in ("precheck", "lp", "decompose", "extend", "assign"):
+            row[f"t_{stage}"] = (
+                f"{result.stage_seconds.get(stage, 0.0):.4f}"
+            )
+    except (ParseError, TriviallyInfeasibleError,
+            InfeasibleInstanceError, GenerationError) as exc:
+        row["error"] = str(exc)
+    row["t_total"] = f"{time.perf_counter() - start:.4f}"
+    return row
+
+
 def cmd_bench(args) -> int:
-    paths = sorted(Path(args.corpus).glob("*.txt"))
-    writer = csv.DictWriter(
-        open(args.out, "w", newline="") if args.out else sys.stdout,
-        fieldnames=_BENCH_COLUMNS,
-    )
-    writer.writeheader()
     config = _config_from_args(args)
     config.exact = False
-    for path in paths:
-        row = {"file": path.name}
-        start = time.perf_counter()
-        try:
-            instance = parse_instance(_read(str(path)))
-            row.update(
-                n=len(instance.jobs), m=instance.machines,
-                D=instance.horizon + instance.offset, Q=instance.wakeup,
-                P=instance.total_ptime,
-            )
-            result = solve_instance(instance, config)
-            row.update(
-                mode=result.mode,
-                lp_objective=str(result.lp_objective),
-                energy=result.energy,
-                bound=str(result.bound),
-            )
-            if result.lp_objective > 0:
-                row["ratio_energy_lp"] = (
-                    f"{float(result.energy / result.lp_objective):.4f}"
-                )
-            if args.exact:
-                try:
-                    opt = exact_opt(instance, args.limits)
-                except OracleLimitError:
-                    opt = None  # beyond oracle limits: leave the column blank
-                if opt is not None:
-                    row["oracle"] = opt[0]
-                    if opt[0] > 0:
-                        row["ratio_energy_opt"] = (
-                            f"{result.energy / opt[0]:.4f}"
-                        )
-            for stage in ("precheck", "lp", "decompose", "extend", "assign"):
-                row[f"t_{stage}"] = (
-                    f"{result.stage_seconds.get(stage, 0.0):.4f}"
-                )
-        except (ParseError, TriviallyInfeasibleError,
-                InfeasibleInstanceError, GenerationError) as exc:
-            row["error"] = str(exc)
-        row["t_total"] = f"{time.perf_counter() - start:.4f}"
-        writer.writerow(row)
+    out = open(args.out, "w", newline="") if args.out \
+        else nullcontext(sys.stdout)
+    with out as stream:
+        writer = csv.DictWriter(stream, fieldnames=_BENCH_COLUMNS)
+        writer.writeheader()
+        for path in sorted(Path(args.corpus).glob("*.txt")):
+            writer.writerow(_bench_row(path, config, args))
     return EXIT_OK
 
 
@@ -225,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["auto", "full", "restricted"],
                        default="auto")
         p.add_argument("--epsilon", default="1/4",
-                       help="restricted-mode accuracy, a rational like 1/4")
-        p.add_argument("--extend", choices=["batched", "unit"],
-                       default="batched")
+                       help="restricted-mode accuracy, a positive rational "
+                            "like 1/4")
         p.add_argument("--limits", type=_parse_limits, default=(6, 12, 2),
                        help="oracle limits n,D,m")
 

@@ -168,12 +168,6 @@ class Instance:
             horizon = max(0, (horizon or 0) - offset)
         return cls(tuple(kept), machines, wakeup, horizon, offset)
 
-    def job_by_id(self, job_id: int) -> Job:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
-
 
 @dataclass(frozen=True)
 class DisjointIntervalSet:

@@ -9,6 +9,13 @@ when the max-flow saturates every source arc, i.e. equals the total volume P.
 The min cut whose source side is minimal (unique, obtained as the set of
 residual-reachable nodes) yields a deficiency witness: the slots on the
 source side, aggregated into maximal disjoint intervals.
+
+Every production max-flow runs on one network, ``feasibility_network``: the
+coarse slots between consecutive job and supply endpoints. Its feasible
+flows are spread over unit slots by the wrap-around layout of
+``spread_flow``. The unit-slot network (``build_unit_network``) is kept as
+the reference for tests and for the unit-step repair, which is itself the
+test reference for the batched repair.
 """
 from __future__ import annotations
 
@@ -166,7 +173,8 @@ class FlowNetwork:
 
 
 def build_unit_network(instance: Instance, supply: Sequence[Interval]) -> FlowNetwork:
-    """Network with one node per unit slot; sink capacity = supply coverage."""
+    """Reference network with one node per unit slot; sink capacity = supply
+    coverage. Only the unit-step repair and tests build it."""
     prof = coverage_profile(supply, instance.horizon)
     slots = [(t, t + 1) for t in range(instance.horizon)]
     return FlowNetwork(instance, slots, prof)
@@ -180,8 +188,8 @@ def build_coarse(instance: Instance, supply: Sequence[Interval],
     point, so each either fully covers a coarse slot or misses it. A coarse
     slot of length L crossed by n supply intervals gets sink capacity n*L,
     and each job arc into it carries capacity L. With aligned endpoints this
-    aggregation is exact: a coarse flow of value P expands to a unit-slot
-    schedule by the wrap-around layout and vice versa.
+    aggregation is exact: a coarse flow of value P spreads to a unit-slot
+    flow by the wrap-around layout (``spread_flow``) and vice versa.
     """
     pts = sorted(set(points))
     if not pts or pts[0] != 0 or pts[-1] != instance.horizon:
@@ -199,6 +207,53 @@ def build_coarse(instance: Instance, supply: Sequence[Interval],
         crossing = sum(1 for iv in supply if iv.start <= a and b <= iv.end)
         caps.append(crossing * (b - a))
     return FlowNetwork(instance, slots, caps)
+
+
+def feasibility_network(instance: Instance, supply: Sequence[Interval]
+                        ) -> FlowNetwork:
+    """The coarse network on 0, D and every job and supply endpoint.
+
+    This is Horn's interval network for preemptive deadline scheduling
+    (W. A. Horn, Naval Res. Logist. Q. 21, 1974). It has O(n + |supply|)
+    slot nodes instead of D, and its minimal min cut covers the same unit
+    slots as the unit-slot network's, so flow values and witnesses agree.
+    Supply beyond the horizon is cut off.
+    """
+    horizon = instance.horizon
+    inside = [Interval(iv.start, min(iv.end, horizon))
+              for iv in supply if iv.start < horizon]
+    return build_coarse(instance, inside, aligned_points(instance, inside, ()))
+
+
+def spread_flow(slots: Sequence[tuple[int, int]],
+                flows: dict[tuple[int, int], int]
+                ) -> dict[tuple[int, int], int]:
+    """Spread coarse-slot flow over unit slots by the wrap-around layout.
+
+    ``flows`` maps (job id, coarse slot index) to routed units. In a coarse
+    slot [a, b) the volumes are laid end to end in job-id order, and unit
+    position p lands in unit slot a + p mod (b - a). No job routes more than
+    b - a units into the slot, so its units land in distinct unit slots, and
+    a slot crossed by c supply intervals holds at most c jobs per unit slot.
+    Returns (job id, unit slot) -> 1 for every unit.
+    """
+    by_slot: dict[int, list[tuple[int, int]]] = {}
+    for (job_id, k), units in flows.items():
+        if units > 0:
+            by_slot.setdefault(k, []).append((job_id, units))
+    out = {}
+    for k, volumes in by_slot.items():
+        a, b = slots[k]
+        length = b - a
+        cursor = 0
+        for job_id, units in sorted(volumes):
+            if units > length:
+                raise ValueError(
+                    f"slot [{a},{b}] routes job {job_id} beyond its length")
+            for pos in range(cursor, cursor + units):
+                out[(job_id, a + pos % length)] = 1
+            cursor += units
+    return out
 
 
 def aligned_points(instance: Instance, supply: Sequence[Interval],
@@ -243,25 +298,21 @@ def min_cut_minimal_source(net: FlowNetwork) -> Cut:
     return Cut(frozenset(side), cap, net.witness_from_side(side))
 
 
-def check_feasible(instance: Instance, supply: Sequence[Interval],
-                   points: Sequence[int] | None = None) -> FeasibilityResult:
+def check_feasible(instance: Instance, supply: Sequence[Interval]
+                   ) -> FeasibilityResult:
     """Decide feasibility of the supply; infeasible verdicts carry a witness.
 
-    With ``points`` the check runs on the coarse network (after refining the
-    points with supply endpoints), which is equivalent and faster for long
-    horizons.
+    Feasible verdicts carry the flow keyed by (job id, unit slot), one unit
+    per key.
     """
     total = instance.total_ptime
-    if points is None:
-        net = build_unit_network(instance, supply)
-    else:
-        net = build_coarse(instance, supply,
-                           aligned_points(instance, supply, points))
+    net = feasibility_network(instance, supply)
     value = net.max_flow()
     if value > total:
         raise InternalInvariantError("flow exceeded total volume")
     if value == total:
-        return FeasibilityResult(True, value, flows=net.job_slot_flow())
+        return FeasibilityResult(
+            True, value, flows=spread_flow(net.slots, net.job_slot_flow()))
     cut = min_cut_minimal_source(net)
     return FeasibilityResult(
         False, value, witness=cut.witness, deficiency=total - cut.capacity

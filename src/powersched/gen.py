@@ -20,7 +20,8 @@ def generate_instance(seed: int, n: int, machines: int, horizon: int,
     when no feasible draw shows up within the attempt budget.
     """
     if n < 0 or horizon < 1 or machines < 1 or not (0 < density <= 1):
-        raise ValueError("bad generator parameters")
+        raise ValueError("generator needs jobs >= 0, machines >= 1, "
+                         "horizon >= 1 and 0 < density <= 1")
     rng = random.Random(seed)
     target = max(n, int(round(density * machines * horizon)))
     for _ in range(attempts):

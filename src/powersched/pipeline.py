@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .core import (
     InfeasibleInstanceError,
@@ -13,8 +12,9 @@ from .core import (
     energy,
 )
 from .decompose import CandidateSolution, convex_decompose, uncross
-from .extend import extend_multi, extend_multi_batched, extend_single, modify_multi
-from .flow import aligned_points, build_coarse, check_feasible
+from .extend import extend_multi_batched, extend_single, modify_multi
+from .flow import check_feasible
+from .flow import build_coarse  # noqa: F401 -- traced by perfbench/spans.py
 from .lp import (
     FractionalSolution,
     build_lp_multi,
@@ -24,13 +24,8 @@ from .lp import (
     solve_lp,
 )
 from .rational import Rat, as_rat
-from .schedule import (
-    Schedule,
-    assign_jobs,
-    exact_opt,
-    expand_coarse,
-    verify,
-)
+from .schedule import Schedule, assign_jobs, exact_opt, verify
+from .schedule import expand_coarse  # noqa: F401 -- traced by perfbench/spans.py
 
 # horizon above which the default mode switches to the restricted point set
 FULL_MODE_HORIZON = 200
@@ -40,7 +35,6 @@ FULL_MODE_HORIZON = 200
 class PipelineConfig:
     mode: str = "auto"  # auto | full | restricted
     epsilon: Rat = as_rat("1/4")
-    batched: bool = True
     exact: bool = False
     oracle_limits: tuple[int, int, int] = (6, 12, 2)
 
@@ -82,23 +76,23 @@ def _resolve_mode(instance: Instance, config: PipelineConfig) -> str:
     return "full" if instance.horizon <= FULL_MODE_HORIZON else "restricted"
 
 
-def repair_candidate(instance: Instance, candidate: CandidateSolution,
-                     batched: bool = True,
-                     points: Sequence[int] | None = None
+def repair_candidate(instance: Instance, candidate: CandidateSolution
                      ) -> tuple[list[Interval], int]:
     """Repair one candidate into a feasible supply; returns (supply, added)."""
     if instance.machines == 1:
         return extend_single(instance, candidate.intervals)
     modified = modify_multi(candidate.intervals, instance.machines)
-    if batched:
-        return extend_multi_batched(instance, modified, points=points)
-    return extend_multi(instance, modified)
+    return extend_multi_batched(instance, modified)
 
 
 def solve_instance(instance: Instance, config: PipelineConfig | None = None
                    ) -> PipelineResult:
     """Run the whole pipeline. Raises InfeasibleInstanceError with a witness
-    when no schedule exists."""
+    when no schedule exists.
+
+    The mode and its point set shape only the LP; decomposition, repair and
+    assignment take the same path in every mode.
+    """
     config = config or PipelineConfig()
     stage_seconds: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -131,9 +125,7 @@ def solve_instance(instance: Instance, config: PipelineConfig | None = None
     total = instance.total_ptime
     reports: list[CandidateReport] = []
     for cand in candidates:
-        supply, added = repair_candidate(
-            instance, cand, batched=config.batched, points=points
-        )
+        supply, added = repair_candidate(instance, cand)
         pre_e = energy(cand.intervals, instance.wakeup)
         post_e = energy(supply, instance.wakeup)
         if added > total:
@@ -147,16 +139,10 @@ def solve_instance(instance: Instance, config: PipelineConfig | None = None
     stage_seconds["extend"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    best = reports[chosen]
-    if mode == "restricted" and instance.horizon > 0:
-        pts = aligned_points(instance, best.supply, points)
-        net = build_coarse(instance, best.supply, pts)
-        if net.max_flow() != total:
-            raise InternalInvariantError("repaired supply is not feasible")
-        schedule = expand_coarse(instance, best.supply, pts,
-                                 net.job_slot_flow())
-    else:
-        schedule = assign_jobs(instance, best.supply)
+    try:
+        schedule = assign_jobs(instance, reports[chosen].supply)
+    except InfeasibleInstanceError as exc:
+        raise InternalInvariantError("repaired supply is not feasible") from exc
     problems = verify(instance, schedule)
     if problems:
         raise InternalInvariantError(f"schedule failed verification: {problems}")

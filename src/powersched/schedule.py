@@ -3,12 +3,9 @@ and the exhaustive optimum used as test oracle.
 
 Supply intervals are placed onto machines first-fit in start-time order
 (smallest machine index whose intervals stay slot-disjoint), which needs no
-more machines than the peak slot coverage. Jobs routed by the feasibility
-flow are then placed slot by slot onto the active machines. For coarse
-slots the per-slot volumes are laid out contiguously on one virtual machine
-and wrapped across the crossing intervals; since no per-slot volume exceeds
-the slot length, the wrapped copies never run a job in parallel with
-itself.
+more machines than the peak slot coverage. The feasibility flow, spread over
+unit slots by ``flow.spread_flow``, is then placed slot by slot onto the
+active machines.
 """
 from __future__ import annotations
 
@@ -26,7 +23,7 @@ from .core import (
     energy,
     total_volume,
 )
-from .flow import check_feasible
+from .flow import check_feasible, spread_flow
 
 
 @dataclass(frozen=True)
@@ -53,44 +50,57 @@ class OracleLimitError(ValueError):
 
 
 def first_fit_machines(supply: Sequence[Interval], machines: int
-                       ) -> tuple[list[list[Interval]], list[int]]:
+                       ) -> list[list[Interval]]:
     """Assign supply intervals to machines in start order, smallest index
-    whose previous interval has ended. Returns per-machine interval lists
-    and the machine index of every supply entry (in sorted entry order)."""
-    order = sorted(range(len(supply)), key=lambda n: (supply[n].start,
-                                                      supply[n].end, n))
+    whose previous interval has ended. Returns per-machine interval lists."""
     per_machine: list[list[Interval]] = [[] for _ in range(machines)]
     last_end = [0] * machines
-    owner = [0] * len(supply)
-    for n in order:
-        iv = supply[n]
-        placed = False
+    for iv in sorted(supply):
         for k in range(machines):
             if not per_machine[k] or last_end[k] <= iv.start:
                 per_machine[k].append(iv)
                 last_end[k] = iv.end
-                owner[n] = k
-                placed = True
                 break
-        if not placed:
+        else:
             raise InternalInvariantError(
                 "supply needs more machines than available"
             )
-    return per_machine, owner
+    return per_machine
 
 
 def assign_jobs(instance: Instance, supply: Sequence[Interval]) -> Schedule:
-    """Turn a feasible supply into a schedule via the unit-slot flow."""
+    """Turn a feasible supply into a schedule via the feasibility flow."""
     supply = sorted(supply)
     result = check_feasible(instance, supply)
     if not result.feasible:
         raise InfeasibleInstanceError(result.witness, result.deficiency)
-    per_machine, owner = first_fit_machines(supply, instance.machines)
+    return _place(instance, supply, result.flows or {})
+
+
+def expand_coarse(instance: Instance, supply: Sequence[Interval],
+                  points: Sequence[int],
+                  flows: dict[tuple[int, int], int]) -> Schedule:
+    """Expand a coarse-slot flow of value P into a unit-slot schedule.
+
+    ``flows`` maps (job id, coarse slot index) to routed units, with slots
+    delimited by consecutive points; supply and job windows must be aligned
+    to the points. The flow is spread as in ``check_feasible`` and placed
+    as in ``assign_jobs``.
+    """
+    pts = sorted(set(points))
+    return _place(instance, sorted(supply),
+                  spread_flow(list(zip(pts, pts[1:])), flows))
+
+
+def _place(instance: Instance, supply: list[Interval],
+           flows: dict[tuple[int, int], int]) -> Schedule:
+    """Place a unit-slot flow, keyed by (job id, slot), onto the machines
+    that first-fit gives the sorted supply."""
+    per_machine = first_fit_machines(supply, instance.machines)
 
     slot_jobs: dict[int, list[int]] = {}
-    for (job_id, k), units in (result.flows or {}).items():
-        if units:
-            slot_jobs.setdefault(k, []).append(job_id)
+    for job_id, t in flows:
+        slot_jobs.setdefault(t, []).append(job_id)
 
     records = []
     for t, jobs_here in sorted(slot_jobs.items()):
@@ -105,55 +115,6 @@ def assign_jobs(instance: Instance, supply: Sequence[Interval]) -> Schedule:
             )
         for mach, job_id in zip(active, jobs_here):
             records.append((t, mach, job_id))
-
-    return Schedule(
-        tuple(tuple(ivs) for ivs in per_machine),
-        tuple(sorted(records)),
-        energy(supply, instance.wakeup),
-        tuple(supply),
-    )
-
-
-def expand_coarse(instance: Instance, supply: Sequence[Interval],
-                  points: Sequence[int],
-                  flows: dict[tuple[int, int], int]) -> Schedule:
-    """Expand a coarse-slot flow of value P into a unit-slot schedule.
-
-    ``flows`` maps (job id, coarse slot index) to routed units, with slots
-    delimited by consecutive points; supply and job windows must be aligned
-    to the points.
-    """
-    supply = sorted(supply)
-    pts = sorted(set(points))
-    slots = list(zip(pts, pts[1:]))
-    per_machine, owner = first_fit_machines(supply, instance.machines)
-
-    sorted_entries = sorted(range(len(supply)),
-                            key=lambda n: (supply[n].start, supply[n].end, n))
-    records = []
-    for k, (a, b) in enumerate(slots):
-        length = b - a
-        crossing = [
-            owner[n] for n in sorted_entries
-            if supply[n].start <= a and b <= supply[n].end
-        ]
-        crossing.sort()
-        volumes = sorted(
-            (job_id, units) for (job_id, kk), units in flows.items()
-            if kk == k and units > 0
-        )
-        used = sum(u for _, u in volumes)
-        if any(u > length for _, u in volumes):
-            raise ValueError(f"slot [{a},{b}] routes a job beyond its length")
-        if used > len(crossing) * length:
-            raise ValueError(f"slot [{a},{b}] routes beyond its capacity")
-        cursor = 0
-        for job_id, units in volumes:
-            for u in range(units):
-                pos = cursor + u
-                records.append((a + pos % length, crossing[pos // length],
-                                job_id))
-            cursor += units
 
     return Schedule(
         tuple(tuple(ivs) for ivs in per_machine),

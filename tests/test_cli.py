@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -63,6 +65,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     broken.write_text("1 1\n0\n")
     assert main(["solve", str(broken)]) == 3
     assert main(["solve", str(tmp_path / "missing.txt")]) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "abc"],
+    ["--epsilon", "1/0"],
+    ["--mode", "restricted", "--epsilon", "0"],
+    ["--mode", "restricted", "--epsilon", "-1"],
+])
+def test_solve_bad_epsilon_exit_code(gap_file, capsys, flags):
+    assert main(["solve", str(gap_file)] + flags) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_bad_horizon_exit_code(capsys):
+    assert main(["gen", "--seed", "1", "--horizon", "0"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_feasible_and_not(gap_file, tmp_path, capsys):
@@ -163,3 +181,15 @@ def test_bench_empty_corpus(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.strip().splitlines()[0].startswith("file,")
     assert len(out.strip().splitlines()) == 1
+
+
+def test_bench_closes_out_file(gap_file, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "gap.txt").write_text(GAP_TEXT)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["bench", str(corpus), "--out",
+                     str(tmp_path / "t.csv")]) == 0
+        gc.collect()
+    assert not [w for w in caught if w.category is ResourceWarning]

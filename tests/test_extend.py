@@ -181,6 +181,8 @@ def test_batched_equals_unit_step_accounting():
 
 
 def test_batched_with_points_mode():
+    """Batched repair of restricted-mode (point set) LP candidates adds as
+    much as the unit-step reference."""
     for seed in (1, 4, 9):
         inst = seeded_instance(seed, n_max=4, d_max=12, machines=2)
         pts = build_point_set(inst, 1)
@@ -190,7 +192,8 @@ def test_batched_with_points_mode():
         sol = solve_lp(model)
         for cand in convex_decompose(uncross(sol.support())):
             supply = modify_multi(cand.intervals, inst.machines)
-            repaired, added = extend_multi_batched(inst, supply, points=pts)
+            repaired, added = extend_multi_batched(inst, supply)
+            assert added == extend_multi(inst, supply)[1]
             assert added <= inst.total_ptime
             assert check_feasible(inst, repaired).feasible
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from powersched.core import Instance, Interval, deficiency
+from powersched.core import Instance, Interval, coverage_profile, deficiency
 from powersched.flow import (
     augment_capacity_step,
     build_coarse,
@@ -11,6 +11,7 @@ from powersched.flow import (
     check_feasible,
     min_cut_minimal_source,
 )
+from powersched.gen import generate_instance
 from powersched.schedule import brute_force_feasible
 
 from conftest import random_supply, seeded_instance
@@ -176,3 +177,58 @@ def test_coarse_requires_alignment():
         build_coarse(inst, [Interval(0, 3)], [0, 4])
     with pytest.raises(ValueError):
         build_coarse(inst, [], [1, 4])
+
+
+def _holed_supply(rng, machines, horizon):
+    """Per machine, [0, D) minus one hole of 1..D/2 slots."""
+    out = []
+    for _ in range(machines):
+        hole = rng.randint(1, horizon // 2)
+        start = rng.randrange(0, horizon - hole + 1)
+        if start > 0:
+            out.append(Interval(0, start))
+        if start + hole < horizon:
+            out.append(Interval(start + hole, horizon))
+    return out
+
+
+def _differential_cases():
+    rng = random.Random(31)
+    for seed in range(90):
+        machines = 1 + seed % 3
+        inst = seeded_instance(seed, n_max=5, d_max=12, machines=machines)
+        yield inst, random_supply(rng, inst.horizon, machines, 4)
+    for seed in range(12):
+        machines = 1 + seed % 3
+        inst = generate_instance(700 + seed, 12, machines, 300, 5, 0.5)
+        yield inst, _holed_supply(rng, machines, inst.horizon)
+    inst = seeded_instance(3, machines=2)
+    yield inst, [Interval(1, inst.horizon + 4)] * 2
+
+
+def test_check_feasible_matches_unit_network():
+    """The coarse verdict equals the unit-slot reference: flow value,
+    deficiency and witness; feasible flows are unit-slot schedules."""
+    verdicts = set()
+    for inst, supply in _differential_cases():
+        got = check_feasible(inst, supply)
+        ref = build_unit_network(inst, supply)
+        assert got.flow_value == ref.max_flow()
+        verdicts.add(got.feasible)
+        if not got.feasible:
+            cut = min_cut_minimal_source(ref)
+            assert got.deficiency == inst.total_ptime - cut.capacity
+            assert got.witness == cut.witness
+            continue
+        assert got.flow_value == inst.total_ptime
+        cover = coverage_profile(supply, inst.horizon)
+        jobs = {j.id: j for j in inst.jobs}
+        done = dict.fromkeys(jobs, 0)
+        for (job_id, t), units in got.flows.items():
+            assert units == 1
+            assert jobs[job_id].release <= t < jobs[job_id].deadline
+            done[job_id] += 1
+            cover[t] -= 1
+        assert done == {j.id: j.ptime for j in inst.jobs}
+        assert min(cover, default=0) >= 0
+    assert verdicts == {True, False}

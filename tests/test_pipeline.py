@@ -70,16 +70,6 @@ def test_pipeline_restricted_mode_verifies():
         assert verify(inst, result.schedule) == []
 
 
-def test_pipeline_unit_step_extension():
-    inst = seeded_instance(5, n_max=4, d_max=9, machines=2)
-    batched = solve_instance(inst, PipelineConfig(batched=True))
-    unit = solve_instance(inst, PipelineConfig(batched=False))
-    assert batched.energy <= 2 * batched.lp_objective + inst.total_ptime
-    assert unit.energy <= 2 * unit.lp_objective + inst.total_ptime
-    for a, b in zip(batched.candidates, unit.candidates):
-        assert a.added_length == b.added_length
-
-
 def test_pipeline_auto_mode_threshold():
     inst = seeded_instance(1, n_max=3, d_max=10)
     assert solve_instance(inst).mode == "full"

@@ -47,8 +47,7 @@ def test_assign_empty_instance():
 
 def test_first_fit_uses_peak_coverage():
     supply = [Interval(0, 4), Interval(2, 6), Interval(4, 8), Interval(6, 9)]
-    per_machine, owner = first_fit_machines(supply, 2)
-    assert len(owner) == 4
+    per_machine = first_fit_machines(supply, 2)
     # touching intervals share a machine; slot-sharing ones do not
     assert per_machine[0] == [Interval(0, 4), Interval(4, 8)]
     assert per_machine[1] == [Interval(2, 6), Interval(6, 9)]
